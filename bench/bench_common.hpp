@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 
@@ -70,6 +71,23 @@ inline void print_world_banner(const BenchConfig& config,
       topology.l_partition.size(), topology.m_partition.size(),
       static_cast<double>(topology.advertised_addresses) / 1e9,
       config.host_scale, config.months);
+}
+
+/// This process's peak resident set (VmHWM) in MB, or 0 where
+/// /proc/self/status is unavailable.
+inline double peak_rss_mb() {
+  std::FILE* status = std::fopen("/proc/self/status", "r");
+  if (status == nullptr) return 0.0;
+  char line[256];
+  double kib = 0.0;
+  while (std::fgets(line, sizeof line, status) != nullptr) {
+    if (std::strncmp(line, "VmHWM:", 6) == 0) {
+      kib = std::strtod(line + 6, nullptr);
+      break;
+    }
+  }
+  std::fclose(status);
+  return kib / 1024.0;
 }
 
 }  // namespace tass::bench

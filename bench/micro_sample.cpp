@@ -13,7 +13,8 @@
 // The headline key `sample_probe_efficiency` is the largest probe
 // reduction (exhaustive frame / probes sent) whose point estimate lands
 // within 5% of the exhaustive truth — the "how much cheaper can the
-// census get before the answer degrades" number.
+// census get before the answer degrades" number. `peak_rss_mb` (the
+// process's VmHWM) records what the sampled scopes cost in memory.
 //
 // Usage: micro_sample [--lprefixes N] [--seed S] [--floor F]
 //                     [--scale H]
@@ -198,10 +199,10 @@ int main(int argc, char** argv) {
       "{\"bench\":\"micro_sample\",\"l_prefixes\":%zu,\"host_scale\":%.4f,"
       "\"seed\":%" PRIu64 ",\"floor\":%u,\"frame_units\":%" PRIu64
       ",\"sample_probe_efficiency\":%.2f,\"marked_error\":%.4f,"
-      "\"marked_ci_covers\":%s,\"curve\":[",
+      "\"marked_ci_covers\":%s,\"peak_rss_mb\":%.1f,\"curve\":[",
       config.l_prefix_count, config.host_scale, config.seed, floor,
       frame_units, efficiency, marked_error,
-      marked_covered ? "true" : "false");
+      marked_covered ? "true" : "false", bench::peak_rss_mb());
   for (std::size_t i = 0; i < curve.size(); ++i) {
     const auto& point = curve[i];
     std::printf("%s{\"budget\":%" PRIu64 ",\"probes\":%" PRIu64

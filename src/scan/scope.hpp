@@ -1,8 +1,10 @@
 // ScanScope: the set of addresses a scan cycle will probe — a whitelist of
 // prefixes (e.g. a TASS selection, or the whole announced space) minus a
-// blocklist. Membership queries resolve through the trie::LpmIndex
-// substrate; the IntervalSet stays the enumeration/accounting view the
-// engine walks.
+// blocklist. The IntervalSet is the whole scope: the engine enumerates
+// it, address_count() sums it, and contains() is a binary search over its
+// sorted, disjoint intervals (the ZMap whitelist technique), so building
+// a scope costs no CIDR cover and no LPM index — a sampled scope's
+// millions of singleton draws stay one flat array.
 #pragma once
 
 #include <span>
@@ -11,7 +13,6 @@
 #include "bgp/reduce.hpp"
 #include "net/interval.hpp"
 #include "scan/blocklist.hpp"
-#include "trie/lpm_index.hpp"
 
 namespace tass::scan {
 
@@ -24,7 +25,7 @@ class ScanScope {
 
   /// Scope from a reduced (overshoot-bounded) selection: the prefix list
   /// is first collapsed by bgp::reduce, then scoped as usual. Fewer
-  /// prefixes mean fewer target intervals and a smaller LPM build, at
+  /// prefixes mean fewer target intervals to build and search, at
   /// the price of up to params.max_overshoot extra addresses in scope —
   /// every original address stays in scope (the blocklist is still
   /// subtracted afterwards, so overshoot never resurrects blocked
@@ -44,12 +45,10 @@ class ScanScope {
                             std::span<const std::uint32_t> cells);
 
   /// Scope over raw intervals (already exclusion-applied).
-  explicit ScanScope(net::IntervalSet targets) : targets_(std::move(targets)) {
-    index_ = trie::LpmIndex::from_prefixes(targets_.to_prefixes());
-  }
+  explicit ScanScope(net::IntervalSet targets) : targets_(std::move(targets)) {}
 
   bool contains(net::Ipv4Address addr) const noexcept {
-    return index_.covers(addr);
+    return targets_.contains(addr);
   }
   std::uint64_t address_count() const noexcept {
     return targets_.address_count();
@@ -59,7 +58,6 @@ class ScanScope {
 
  private:
   net::IntervalSet targets_;
-  trie::LpmIndex index_;
 };
 
 }  // namespace tass::scan

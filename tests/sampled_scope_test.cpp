@@ -17,6 +17,7 @@
 #include "core/ranking.hpp"
 #include "scan/engine.hpp"
 #include "scan/sobol.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace tass::scan {
@@ -287,6 +288,32 @@ TEST(SampledScope, ProbeMatchesEngineRunOverScope) {
     EXPECT_EQ(folded.cells[i].hits, probed.cells[i].hits)
         << "cell " << folded.cells[i].cell;
   }
+}
+
+TEST(SampledScope, DrawSetIsPinned) {
+  // The v4 draw set is a pure function of (design, seed). Pin it: the
+  // scope must hold exactly the drawn targets, and the targets must hash
+  // to the value recorded when the draws were last changed on purpose —
+  // any rework of how draws are generated or stored must reproduce them
+  // bit for bit.
+  SampleParams params;
+  params.budget = 3000;
+  params.floor = 16;
+  params.seed = 2016;
+  const SampledScope scope(plan_sample(tiny_ranking(), params));
+
+  std::vector<net::Interval> singletons;
+  for (const net::Ipv4Address addr : scope.targets()) {
+    singletons.push_back(net::Interval{addr, addr});
+  }
+  EXPECT_EQ(scope.scope().targets(), net::IntervalSet(singletons));
+  EXPECT_EQ(scope.scope().address_count(), scope.design().total_draws);
+
+  util::Fnv1a64 hash;
+  for (const net::Ipv4Address addr : scope.targets()) {
+    hash.update_u32(addr.value());
+  }
+  EXPECT_EQ(hash.digest(), 0x782c546009add17cULL);
 }
 
 TEST(SampledScope6, SubsamplesCandidateListsPerCell) {

@@ -1,16 +1,22 @@
 // Tests for scan/blocklist, scan/scope and scan/engine: exclusion parsing,
-// scope algebra and the simulated scan paths (permutation vs enumeration).
+// scope algebra and membership (against an LPM oracle), and the simulated
+// scan paths (permutation vs enumeration).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "census/population.hpp"
 #include "core/attribution.hpp"
 #include "scan/blocklist.hpp"
 #include "scan/engine.hpp"
+#include "scan/sampled_scope.hpp"
 #include "scan/scope.hpp"
+#include "trie/lpm_index.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace tass::scan {
 namespace {
@@ -70,6 +76,90 @@ TEST(ScanScope, SubtractsBlocklistFromWhitelist) {
   EXPECT_FALSE(scope.contains(Ipv4Address::parse_or_throw("10.10.0.1")));
   EXPECT_TRUE(scope.contains(Ipv4Address::parse_or_throw("10.64.0.1")));
   EXPECT_FALSE(scope.contains(Ipv4Address::parse_or_throw("11.0.0.1")));
+}
+
+// ScanScope::contains searches the interval set directly; an LpmIndex
+// over the set's CIDR cover is the independent oracle. Probes sit on
+// and around every interval edge, where an off-by-one would show.
+void expect_membership_matches_lpm(const ScanScope& scope) {
+  const auto oracle =
+      trie::LpmIndex::from_prefixes(scope.targets().to_prefixes());
+  const auto check = [&](std::uint32_t value) {
+    const Ipv4Address addr(value);
+    ASSERT_EQ(scope.contains(addr), oracle.covers(addr)) << addr.to_string();
+  };
+  check(0);
+  check(~0u);
+  for (const net::Interval& interval : scope.targets().intervals()) {
+    check(interval.first.value() - 1);  // wraps at 0.0.0.0 on purpose
+    check(interval.first.value());
+    check(interval.last.value());
+    check(interval.last.value() + 1);  // wraps at 255.255.255.255
+  }
+}
+
+Prefix random_prefix(util::Rng& rng, int min_length, int max_length) {
+  const auto length = static_cast<int>(
+      rng.uniform_u32(static_cast<std::uint32_t>(min_length),
+                      static_cast<std::uint32_t>(max_length)));
+  return Prefix(Ipv4Address(static_cast<std::uint32_t>(rng())), length);
+}
+
+TEST(ScanScope, MembershipMatchesLpmOracleOnRandomScopes) {
+  util::Rng rng(0x5c09e);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<Prefix> whitelist;
+    const std::uint32_t prefixes = rng.uniform_u32(1, 300);
+    for (std::uint32_t i = 0; i < prefixes; ++i) {
+      whitelist.push_back(random_prefix(rng, 4, 32));
+    }
+    if (trial % 4 == 0) {  // reach both ends of the address space
+      whitelist.push_back(Prefix::parse_or_throw("0.0.0.0/30"));
+      whitelist.push_back(Prefix::parse_or_throw("255.255.255.252/30"));
+    }
+    Blocklist blocklist;
+    const std::uint32_t blocked = rng.uniform_u32(0, 200);
+    for (std::uint32_t i = 0; i < blocked; ++i) {
+      if (rng.uniform_u32(0, 1) == 0) {
+        blocklist.add(random_prefix(rng, 8, 32));
+      } else {
+        const auto first = static_cast<std::uint32_t>(rng());
+        const std::uint32_t span = rng.uniform_u32(0, 1u << 20);
+        const std::uint32_t last = first > ~0u - span ? ~0u : first + span;
+        blocklist.add(net::Interval{Ipv4Address(first), Ipv4Address(last)});
+      }
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    expect_membership_matches_lpm(ScanScope(whitelist, blocklist));
+  }
+}
+
+TEST(ScanScope, MembershipMatchesLpmOracleOnSingletonSampledScope) {
+  // A sparse sampled scope: every draw is its own /32 interval, the
+  // shape whose per-draw LPM leaves the interval search replaced.
+  SampleDesign design;
+  design.seed = 77;
+  const char* cells[] = {"0.0.0.0/16", "10.0.0.0/12", "192.0.2.0/24",
+                         "255.255.0.0/16"};
+  std::uint32_t index = 0;
+  for (const char* text : cells) {
+    SampleCell row;
+    row.cell = index++;
+    row.prefix = Prefix::parse_or_throw(text);
+    row.universe = row.prefix.size();
+    row.draws = std::max<std::uint64_t>(row.universe / 1024, 1);
+    design.cells.push_back(row);
+    design.total_draws += row.draws;
+    design.frame_units += row.universe;
+  }
+  const SampledScope sampled(design);
+  const ScanScope& scope = sampled.scope();
+  ASSERT_EQ(scope.targets().interval_count(), sampled.target_count())
+      << "draws must not coalesce for this test to cover singletons";
+  expect_membership_matches_lpm(scope);
+  for (const Ipv4Address addr : sampled.targets()) {
+    ASSERT_TRUE(scope.contains(addr)) << addr.to_string();
+  }
 }
 
 class CountingOracle final : public ProbeOracle {

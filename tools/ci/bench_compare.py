@@ -22,7 +22,8 @@ Headline metrics (direction-aware):
   micro_stream    updates_per_sec_sustained (higher is better),
                   update_to_plan_p99_ms (lower is better)
   micro_sample    sample_probe_efficiency (higher is better; probe
-                  reduction achieved at <= 5% estimation error)
+                  reduction achieved at <= 5% estimation error) and
+                  peak_rss_mb (lower is better; the process's VmHWM)
   micro_reduce    reduce_ratio_at_5pct (higher is better; prefix-count
                   reduction at the 5% overshoot cap) and
                   scope_build_speedup (higher is better; ScanScope
@@ -153,6 +154,8 @@ def headline_metrics(record):
         if "sample_probe_efficiency" in record:
             yield ("sample_probe_efficiency",
                    float(record["sample_probe_efficiency"]), True)
+        if "peak_rss_mb" in record:
+            yield "peak_rss_mb", float(record["peak_rss_mb"]), False
     elif bench == "micro_reduce":
         if "reduce_ratio_at_5pct" in record:
             yield ("reduce_ratio_at_5pct",
